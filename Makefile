@@ -6,8 +6,10 @@ build:
 test:
 	go test ./...
 
-# `bench` regenerates the committed BENCH_PR8.json snapshot (QUICK=1
-# ./scripts/bench.sh for a bounded smoke run), then the testing.B suite.
+# `bench` writes a fresh snapshot to the gitignored .bench_out/bench.json
+# (QUICK=1 ./scripts/bench.sh for a bounded smoke run; OUT=... to choose the
+# path), then runs the testing.B suite. Committed BENCH_PR*.json files are
+# historical records and are never overwritten.
 bench:
 	./scripts/bench.sh
 	go test -bench=. -benchmem ./...

@@ -19,6 +19,7 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"encmpi/internal/bufpool"
 	"encmpi/internal/cryptopool"
 	"encmpi/internal/hear"
 	"encmpi/internal/mpi"
@@ -112,18 +113,35 @@ func (e *Comm) hearState() (*hear.State, error) {
 	return st, nil
 }
 
-// hearMask applies (decrypt=false) or removes (decrypt=true) the noise mask
-// on buf in place, charging the rank's hear counters. Real buffers run the
-// kernels and record wall time; synthetic buffers charge the calibrated
-// virtual-time cost to the proc clock, so the simulator's hear runs are
-// comparable to the model engines. lo/hi is the decrypt rank span (the set
-// of ranks whose noise the aggregate carries); ignored for encrypt.
-func (e *Comm) hearMask(st *hear.State, buf mpi.Buffer, dt mpi.Datatype, op mpi.Op, decrypt bool, lo, hi int) {
+// hearEncrypt returns buf masked with this rank's noise, in a fresh pooled
+// buffer the caller owns: the kernels read buf and write the lease in one
+// pass, and buf itself is never touched. Synthetic and empty buffers take
+// the length-only path exactly as a Clone would.
+func (e *Comm) hearEncrypt(st *hear.State, buf mpi.Buffer, dt mpi.Datatype, op mpi.Op) mpi.Buffer {
+	if buf.IsSynthetic() || buf.Len() == 0 {
+		work := buf.Clone()
+		e.hearMask(st, work, work, dt, op, false, 0, 0)
+		return work
+	}
+	work := mpi.PooledBytes(bufpool.Get(buf.Len()), buf.Len())
+	e.hearMask(st, work, buf, dt, op, false, 0, 0)
+	return work
+}
+
+// hearMask writes src with the noise mask applied (decrypt=false) or removed
+// (decrypt=true) to dst, charging the rank's hear counters; dst and src are
+// either the same buffer or do not overlap, and decryption always runs in
+// place. Real buffers run the kernels and record wall time; synthetic
+// buffers charge the calibrated virtual-time cost to the proc clock, so the
+// simulator's hear runs are comparable to the model engines. lo/hi is the
+// decrypt rank span (the set of ranks whose noise the aggregate carries);
+// ignored for encrypt.
+func (e *Comm) hearMask(st *hear.State, dst, src mpi.Buffer, dt mpi.Datatype, op mpi.Op, decrypt bool, lo, hi int) {
 	proc := e.c.Proc()
-	if buf.IsSynthetic() {
-		cost := st.ModelCost(buf.Len(), dt, op, decrypt, hi-lo)
+	if dst.IsSynthetic() {
+		cost := st.ModelCost(dst.Len(), dt, op, decrypt, hi-lo)
 		proc.Advance(cost)
-		elems := buf.Len() / dt.Size()
+		elems := dst.Len() / dt.Size()
 		if decrypt {
 			e.metrics.HearDecrypt(elems, int64(cost))
 		} else {
@@ -134,9 +152,9 @@ func (e *Comm) hearMask(st *hear.State, buf mpi.Buffer, dt mpi.Datatype, op mpi.
 	start := proc.Now()
 	var elems int
 	if decrypt {
-		elems = st.Decrypt(buf.Data[:buf.Len()], dt, op, lo, hi)
+		elems = st.Decrypt(dst.Data[:dst.Len()], dt, op, lo, hi)
 	} else {
-		elems = st.Encrypt(buf.Data[:buf.Len()], dt, op)
+		elems = st.EncryptFrom(dst.Data[:dst.Len()], src.Data[:dst.Len()], dt, op)
 	}
 	ns := int64(proc.Now() - start)
 	if decrypt {
@@ -170,11 +188,10 @@ func (e *Comm) Allreduce(buf mpi.Buffer, dt mpi.Datatype, op mpi.Op) (mpi.Buffer
 	if err != nil {
 		return mpi.Buffer{}, err
 	}
-	work := buf.Clone()
-	e.hearMask(st, work, dt, op, false, 0, 0)
+	work := e.hearEncrypt(st, buf, dt, op)
 	res := e.c.Allreduce(work, dt, op)
 	work.Release()
-	e.hearMask(st, res, dt, op, true, 0, e.Size())
+	e.hearMask(st, res, res, dt, op, true, 0, e.Size())
 	st.Step()
 	return res, nil
 }
@@ -195,12 +212,11 @@ func (e *Comm) Reduce(root int, buf mpi.Buffer, dt mpi.Datatype, op mpi.Op) (mpi
 	if err != nil {
 		return mpi.Buffer{}, err
 	}
-	work := buf.Clone()
-	e.hearMask(st, work, dt, op, false, 0, 0)
+	work := e.hearEncrypt(st, buf, dt, op)
 	res := e.c.Reduce(root, work, dt, op)
 	work.Release()
 	if e.Rank() == root {
-		e.hearMask(st, res, dt, op, true, 0, e.Size())
+		e.hearMask(st, res, res, dt, op, true, 0, e.Size())
 	}
 	st.Step()
 	return res, nil
@@ -220,11 +236,10 @@ func (e *Comm) Scan(buf mpi.Buffer, dt mpi.Datatype, op mpi.Op) (mpi.Buffer, err
 	if err != nil {
 		return mpi.Buffer{}, err
 	}
-	work := buf.Clone()
-	e.hearMask(st, work, dt, op, false, 0, 0)
+	work := e.hearEncrypt(st, buf, dt, op)
 	res := e.c.Scan(work, dt, op)
 	work.Release()
-	e.hearMask(st, res, dt, op, true, 0, e.Rank()+1)
+	e.hearMask(st, res, res, dt, op, true, 0, e.Rank()+1)
 	st.Step()
 	return res, nil
 }
@@ -310,8 +325,7 @@ func (e *Comm) hierHearAllreduce(h *mpi.Hier, buf mpi.Buffer, dt mpi.Datatype, o
 		return mpi.Buffer{}, err
 	}
 	e.metrics.Op(obs.OpHierAllreduce)
-	work := buf.Clone()
-	e.hearMask(st, work, dt, op, false, 0, 0)
+	work := e.hearEncrypt(st, buf, dt, op)
 	partial := work
 	if h.Node.Size() > 1 {
 		partial = h.Node.Reduce(0, work, dt, op)
@@ -325,7 +339,7 @@ func (e *Comm) hierHearAllreduce(h *mpi.Hier, buf mpi.Buffer, dt mpi.Datatype, o
 	if !partial.SharesStorage(work) {
 		work.Release()
 	}
-	e.hearMask(st, partial, dt, op, true, 0, e.Size())
+	e.hearMask(st, partial, partial, dt, op, true, 0, e.Size())
 	st.Step()
 	return partial, nil
 }

@@ -278,7 +278,7 @@ type task struct {
 	s   *State
 	run func()
 
-	data     []byte
+	dst, src []byte // equal for an in-place mask
 	elemOff  int
 	dt       mpi.Datatype
 	op       mpi.Op
@@ -306,19 +306,23 @@ func (s *State) taskAt(i int) *task {
 	return s.tasks[i]
 }
 
-// fanout chunks data across the worker pool and blocks until every chunk's
-// kernel has run. Chunks the pool cannot take run on the caller.
-func (s *State) fanout(data []byte, dt mpi.Datatype, op mpi.Op, lo, hi int, decrypt bool) {
+// fanout chunks dst (and the same elements of src, which may alias it)
+// across the worker pool and blocks until every chunk's kernel has run.
+// Chunks the pool cannot take run on the caller.
+func (s *State) fanout(dst, src []byte, dt mpi.Datatype, op mpi.Op, lo, hi int, decrypt bool) {
+	if len(src) != len(dst) {
+		panic(fmt.Sprintf("hear: source of %d bytes for a %d-byte destination", len(src), len(dst)))
+	}
 	es := dt.Size()
 	chunkElems := s.chunk / es
 	if chunkElems < 1 {
 		chunkElems = 1
 	}
-	total := len(data) / es
+	total := len(dst) / es
 	if total <= chunkElems {
 		// Single chunk: run inline, skip the pool round trip entirely.
 		t := s.taskAt(0)
-		t.data, t.elemOff, t.dt, t.op = data, 0, dt, op
+		t.dst, t.src, t.elemOff, t.dt, t.op = dst, src, 0, dt, op
 		t.kn1, t.kn2, t.lo, t.hi, t.decrypt = s.kn1, s.kn2, lo, hi, decrypt
 		t.exec()
 		return
@@ -331,7 +335,7 @@ func (s *State) fanout(data []byte, dt mpi.Datatype, op mpi.Op, lo, hi int, decr
 		}
 		t := s.taskAt(idx)
 		idx++
-		t.data, t.elemOff, t.dt, t.op = data[off*es:end*es], off, dt, op
+		t.dst, t.src, t.elemOff, t.dt, t.op = dst[off*es:end*es], src[off*es:end*es], off, dt, op
 		t.kn1, t.kn2, t.lo, t.hi, t.decrypt = s.kn1, s.kn2, lo, hi, decrypt
 		s.wg.Add(1)
 		if !s.pool.TryGo(t.run) {
@@ -346,8 +350,16 @@ func (s *State) fanout(data []byte, dt mpi.Datatype, op mpi.Op, lo, hi int, decr
 // (dt, op) pair must be Supported. Returns the number of keystream elements
 // derived (for accounting).
 func (s *State) Encrypt(data []byte, dt mpi.Datatype, op mpi.Op) int {
-	s.fanout(data, dt, op, s.rank, -1, false)
-	return len(data) / dt.Size()
+	return s.EncryptFrom(data, data, dt, op)
+}
+
+// EncryptFrom writes src masked with this rank's noise stream into dst,
+// leaving src untouched: the copy and the mask are one pass. dst and src
+// must have equal lengths and either be the same slice or not overlap. The
+// result and the return value are Encrypt's.
+func (s *State) EncryptFrom(dst, src []byte, dt mpi.Datatype, op mpi.Op) int {
+	s.fanout(dst, src, dt, op, s.rank, -1, false)
+	return len(dst) / dt.Size()
 }
 
 // Decrypt removes the aggregate noise of the contiguous rank range [lo, hi)
@@ -359,7 +371,7 @@ func (s *State) Decrypt(data []byte, dt mpi.Datatype, op mpi.Op, lo, hi int) int
 	if lo < 0 || hi > len(s.ks) || lo >= hi {
 		panic(fmt.Sprintf("hear: decrypt range [%d,%d) outside [0,%d)", lo, hi, len(s.ks)))
 	}
-	s.fanout(data, dt, op, lo, hi, true)
+	s.fanout(data, data, dt, op, lo, hi, true)
 	elems := len(data) / dt.Size()
 	if op == mpi.OpProd {
 		return elems * (hi - lo)
@@ -367,50 +379,58 @@ func (s *State) Decrypt(data []byte, dt mpi.Datatype, op mpi.Op, lo, hi int) int
 	return elems
 }
 
-// unit maps a mixed 64-bit word to [0, 1) with 53 random bits.
-func unit(h uint64) float64 {
-	return float64(h>>11) * (1.0 / (1 << 53))
-}
+// Float mask factors: a noise value is float64(h>>11) · 2^-53 · scale, a
+// uniform draw from [0, scale) with 53 random bits. Both factors are powers of
+// two and h>>11 < 2^53, so folding them into one constant and converting
+// through int64 give exactly the same float64.
+const (
+	f64Unit = f64Scale / (1 << 53)
+	f32Unit = f32Scale / (1 << 53)
+)
 
-// encryptChunk applies this rank's mask to one chunk.
+// The kernels below step the keystream counters zf = kn1 + i·golden and
+// zg = kn2 + i·golden by golden per element, so element i of a chunk at
+// elemOff draws mix64(kn1 + (elemOff+i)·golden) no matter how the buffer
+// was chunked. Each loop reads element windows of src and writes the same
+// windows of dst, re-sliced with a capped capacity.
+
+// encryptChunk writes one chunk of src, masked with this rank's noise, to dst.
 func (s *State) encryptChunk(t *task) {
+	dst, src := t.dst, t.src[:len(t.dst)]
 	ksj := s.ks[t.lo]
-	data := t.data
-	base := uint64(t.elemOff)
+	kf := float64(ksj)
+	zf := t.kn1 + uint64(t.elemOff)*golden
+	zg := t.kn2 + uint64(t.elemOff)*golden
+	le := binary.LittleEndian
 	switch {
 	case t.op == mpi.OpSum && (t.dt == mpi.Int32 || t.dt == mpi.Uint32):
-		for k := 0; k*4 < len(data); k++ {
-			i := base + uint64(k)
-			f := mix64(t.kn1 + i*golden)
-			g := mix64(t.kn2 + i*golden)
-			x := binary.LittleEndian.Uint32(data[4*k:])
-			binary.LittleEndian.PutUint32(data[4*k:], x+uint32(f+ksj*g))
+		for i := 0; i+4 <= len(dst); i += 4 {
+			f, g := mix64(zf), mix64(zg)
+			zf, zg = zf+golden, zg+golden
+			le.PutUint32(dst[i:i+4:i+4], le.Uint32(src[i:i+4:i+4])+uint32(f+ksj*g))
 		}
 	case t.op == mpi.OpSum && t.dt == mpi.Float64:
-		for k := 0; k*8 < len(data); k++ {
-			i := base + uint64(k)
-			a := unit(mix64(t.kn1+i*golden)) * f64Scale
-			b := unit(mix64(t.kn2+i*golden)) * f64Scale
-			x := math.Float64frombits(binary.LittleEndian.Uint64(data[8*k:]))
-			binary.LittleEndian.PutUint64(data[8*k:], math.Float64bits(x+a+float64(ksj)*b))
+		for i := 0; i+8 <= len(dst); i += 8 {
+			a := float64(int64(mix64(zf)>>11)) * f64Unit
+			b := float64(int64(mix64(zg)>>11)) * f64Unit
+			zf, zg = zf+golden, zg+golden
+			x := math.Float64frombits(le.Uint64(src[i : i+8 : i+8]))
+			le.PutUint64(dst[i:i+8:i+8], math.Float64bits(x+a+kf*b))
 		}
 	case t.op == mpi.OpSum && t.dt == mpi.Float32:
-		for k := 0; k*4 < len(data); k++ {
-			i := base + uint64(k)
-			a := unit(mix64(t.kn1+i*golden)) * f32Scale
-			b := unit(mix64(t.kn2+i*golden)) * f32Scale
-			x := math.Float32frombits(binary.LittleEndian.Uint32(data[4*k:]))
-			binary.LittleEndian.PutUint32(data[4*k:],
-				math.Float32bits(float32(float64(x)+a+float64(ksj)*b)))
+		for i := 0; i+4 <= len(dst); i += 4 {
+			a := float64(int64(mix64(zf)>>11)) * f32Unit
+			b := float64(int64(mix64(zg)>>11)) * f32Unit
+			zf, zg = zf+golden, zg+golden
+			x := math.Float32frombits(le.Uint32(src[i : i+4 : i+4]))
+			le.PutUint32(dst[i:i+4:i+4], math.Float32bits(float32(float64(x)+a+kf*b)))
 		}
 	case t.op == mpi.OpProd && (t.dt == mpi.Int32 || t.dt == mpi.Uint32):
-		for k := 0; k*4 < len(data); k++ {
-			i := base + uint64(k)
-			f := mix64(t.kn1 + i*golden)
-			g := mix64(t.kn2 + i*golden)
+		for i := 0; i+4 <= len(dst); i += 4 {
+			f, g := mix64(zf), mix64(zg)
+			zf, zg = zf+golden, zg+golden
 			m := uint32(f+ksj*g) | 1 // odd ⇒ invertible mod 2^32
-			x := binary.LittleEndian.Uint32(data[4*k:])
-			binary.LittleEndian.PutUint32(data[4*k:], x*m)
+			le.PutUint32(dst[i:i+4:i+4], le.Uint32(src[i:i+4:i+4])*m)
 		}
 	default:
 		panic(fmt.Sprintf("hear: encrypt kernel missing for %s %s", t.dt, t.op))
@@ -428,53 +448,52 @@ func inv32(m uint32) uint32 {
 	return inv
 }
 
-// decryptChunk removes the aggregate noise of ranks [lo, hi) from one chunk.
+// decryptChunk writes one chunk of src, with the aggregate noise of ranks
+// [lo, hi) removed, to dst.
 func (s *State) decryptChunk(t *task) {
-	data := t.data
-	base := uint64(t.elemOff)
+	dst, src := t.dst, t.src[:len(t.dst)]
 	n := uint64(t.hi - t.lo)
 	sum := s.pre[t.hi] - s.pre[t.lo]
+	nf, sf := float64(n), float64(sum)
+	zf := t.kn1 + uint64(t.elemOff)*golden
+	zg := t.kn2 + uint64(t.elemOff)*golden
+	le := binary.LittleEndian
 	switch {
 	case t.op == mpi.OpSum && (t.dt == mpi.Int32 || t.dt == mpi.Uint32):
-		for k := 0; k*4 < len(data); k++ {
-			i := base + uint64(k)
-			f := mix64(t.kn1 + i*golden)
-			g := mix64(t.kn2 + i*golden)
-			x := binary.LittleEndian.Uint32(data[4*k:])
-			binary.LittleEndian.PutUint32(data[4*k:], x-uint32(n*f+sum*g))
+		for i := 0; i+4 <= len(dst); i += 4 {
+			f, g := mix64(zf), mix64(zg)
+			zf, zg = zf+golden, zg+golden
+			le.PutUint32(dst[i:i+4:i+4], le.Uint32(src[i:i+4:i+4])-uint32(n*f+sum*g))
 		}
 	case t.op == mpi.OpSum && t.dt == mpi.Float64:
-		for k := 0; k*8 < len(data); k++ {
-			i := base + uint64(k)
-			a := unit(mix64(t.kn1+i*golden)) * f64Scale
-			b := unit(mix64(t.kn2+i*golden)) * f64Scale
-			x := math.Float64frombits(binary.LittleEndian.Uint64(data[8*k:]))
-			binary.LittleEndian.PutUint64(data[8*k:],
-				math.Float64bits(x-(float64(n)*a+float64(sum)*b)))
+		for i := 0; i+8 <= len(dst); i += 8 {
+			a := float64(int64(mix64(zf)>>11)) * f64Unit
+			b := float64(int64(mix64(zg)>>11)) * f64Unit
+			zf, zg = zf+golden, zg+golden
+			x := math.Float64frombits(le.Uint64(src[i : i+8 : i+8]))
+			le.PutUint64(dst[i:i+8:i+8], math.Float64bits(x-(nf*a+sf*b)))
 		}
 	case t.op == mpi.OpSum && t.dt == mpi.Float32:
-		for k := 0; k*4 < len(data); k++ {
-			i := base + uint64(k)
-			a := unit(mix64(t.kn1+i*golden)) * f32Scale
-			b := unit(mix64(t.kn2+i*golden)) * f32Scale
-			x := math.Float32frombits(binary.LittleEndian.Uint32(data[4*k:]))
-			binary.LittleEndian.PutUint32(data[4*k:],
-				math.Float32bits(float32(float64(x)-(float64(n)*a+float64(sum)*b))))
+		for i := 0; i+4 <= len(dst); i += 4 {
+			a := float64(int64(mix64(zf)>>11)) * f32Unit
+			b := float64(int64(mix64(zg)>>11)) * f32Unit
+			zf, zg = zf+golden, zg+golden
+			x := math.Float32frombits(le.Uint32(src[i : i+4 : i+4]))
+			le.PutUint32(dst[i:i+4:i+4], math.Float32bits(float32(float64(x)-(nf*a+sf*b))))
 		}
 	case t.op == mpi.OpProd && (t.dt == mpi.Int32 || t.dt == mpi.Uint32):
 		// No closed form for a product of affine masks: walk the rank range
 		// per element. O(ranks·elements) — a correctness feature, not a
 		// performance path (see the package comment).
-		for k := 0; k*4 < len(data); k++ {
-			i := base + uint64(k)
-			f := mix64(t.kn1 + i*golden)
-			g := mix64(t.kn2 + i*golden)
+		ks := s.ks[t.lo:t.hi]
+		for i := 0; i+4 <= len(dst); i += 4 {
+			f, g := mix64(zf), mix64(zg)
+			zf, zg = zf+golden, zg+golden
 			prod := uint32(1)
-			for j := t.lo; j < t.hi; j++ {
-				prod *= uint32(f+s.ks[j]*g) | 1
+			for _, k := range ks {
+				prod *= uint32(f+k*g) | 1
 			}
-			x := binary.LittleEndian.Uint32(data[4*k:])
-			binary.LittleEndian.PutUint32(data[4*k:], x*inv32(prod))
+			le.PutUint32(dst[i:i+4:i+4], le.Uint32(src[i:i+4:i+4])*inv32(prod))
 		}
 	default:
 		panic(fmt.Sprintf("hear: decrypt kernel missing for %s %s", t.dt, t.op))
@@ -483,7 +502,11 @@ func (s *State) decryptChunk(t *task) {
 
 // Calibrated single-thread kernel costs (ns per element) for the simulator's
 // virtual-time charging; see BenchmarkKernels in hear_test.go for the
-// measurement. Products pay perRank per covered rank on decrypt.
+// measurement. Products pay perRank per covered rank on decrypt. These keep
+// the calibration of the original per-element kernels on purpose: the
+// faster kernels must leave simulated virtual times bit-identical, and
+// recalibrating them is a separate change that moves those numbers
+// (DESIGN.md §16).
 const (
 	encNsPerElemInt      = 3.3
 	encNsPerElemFloat    = 6.4

@@ -330,34 +330,35 @@ func compare(t *testing.T, want, got []byte, dt mpi.Datatype, p int) {
 }
 
 // BenchmarkKernels measures the single-thread per-element kernel costs that
-// calibrate ModelCost's constants.
+// calibrate ModelCost's constants. enc_from_float64 is the masked copy the
+// encrypted collectives take (src → dst in one pass).
 func BenchmarkKernels(b *testing.B) {
 	states, _ := benchStates(b)
 	st := states[0]
 	const elems = 64 << 10
 	buf := make([]byte, elems*4)
-	b.Run("enc_int32", func(b *testing.B) {
-		b.SetBytes(elems * 4)
-		for i := 0; i < b.N; i++ {
-			st.Encrypt(buf, mpi.Int32, mpi.OpSum)
-		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/elems, "ns/elem")
-	})
-	b.Run("dec_int32_p256", func(b *testing.B) {
-		b.SetBytes(elems * 4)
-		for i := 0; i < b.N; i++ {
-			st.Decrypt(buf, mpi.Int32, mpi.OpSum, 0, st.Size())
-		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/elems, "ns/elem")
-	})
 	buf8 := make([]byte, elems*8)
-	b.Run("enc_float64", func(b *testing.B) {
-		b.SetBytes(elems * 8)
-		for i := 0; i < b.N; i++ {
-			st.Encrypt(buf8, mpi.Float64, mpi.OpSum)
-		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/elems, "ns/elem")
-	})
+	src8 := make([]byte, elems*8)
+	for _, k := range []struct {
+		name string
+		size int
+		run  func()
+	}{
+		{"enc_int32", 4, func() { st.Encrypt(buf, mpi.Int32, mpi.OpSum) }},
+		{"dec_int32_p256", 4, func() { st.Decrypt(buf, mpi.Int32, mpi.OpSum, 0, st.Size()) }},
+		{"enc_float32", 4, func() { st.Encrypt(buf, mpi.Float32, mpi.OpSum) }},
+		{"enc_float64", 8, func() { st.Encrypt(buf8, mpi.Float64, mpi.OpSum) }},
+		{"enc_from_float64", 8, func() { st.EncryptFrom(buf8, src8, mpi.Float64, mpi.OpSum) }},
+		{"dec_float64_p256", 8, func() { st.Decrypt(buf8, mpi.Float64, mpi.OpSum, 0, st.Size()) }},
+	} {
+		b.Run(k.name, func(b *testing.B) {
+			b.SetBytes(int64(elems * k.size))
+			for i := 0; i < b.N; i++ {
+				k.run()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/elems, "ns/elem")
+		})
+	}
 }
 
 func benchStates(b *testing.B) ([]*State, Params) {

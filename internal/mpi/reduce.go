@@ -134,6 +134,11 @@ func ReduceBuffers(dst, src Buffer, dt Datatype, op Op) (Buffer, error) {
 // Integer sums and products wrap modulo the element width — Go defines
 // signed overflow as two's-complement wrapping — which is what lets additive
 // and multiplicative ciphertexts ride these kernels exactly.
+//
+// The kernels switch on (datatype, op) once per call, then run a tight loop
+// over fixed-width windows re-sliced with a capped capacity, so the loop body
+// carries no per-element op dispatch. Buffers may start at any byte offset
+// (sealed payloads, Slice), so every access goes through encoding/binary.
 func reduceInto(dst, src Buffer, dt Datatype, op Op) Buffer {
 	if dst.Len() != src.Len() {
 		panic(fmt.Sprintf("mpi: reduce length mismatch %d vs %d", dst.Len(), src.Len()))
@@ -145,141 +150,199 @@ func reduceInto(dst, src Buffer, dt Datatype, op Op) Buffer {
 	if dst.Len()%es != 0 {
 		panic(fmt.Sprintf("mpi: buffer length %d not a multiple of element size %d", dst.Len(), es))
 	}
+	d, s := dst.Data[:dst.Len()], src.Data[:dst.Len()]
 	switch dt {
 	case Float64:
-		for off := 0; off < dst.Len(); off += 8 {
-			a := math.Float64frombits(binary.LittleEndian.Uint64(dst.Data[off:]))
-			b := math.Float64frombits(binary.LittleEndian.Uint64(src.Data[off:]))
-			binary.LittleEndian.PutUint64(dst.Data[off:], math.Float64bits(applyF(a, b, op)))
-		}
+		reduceFloat64(d, s, op)
 	case Float32:
-		for off := 0; off < dst.Len(); off += 4 {
-			a := math.Float32frombits(binary.LittleEndian.Uint32(dst.Data[off:]))
-			b := math.Float32frombits(binary.LittleEndian.Uint32(src.Data[off:]))
-			binary.LittleEndian.PutUint32(dst.Data[off:], math.Float32bits(applyF32(a, b, op)))
-		}
+		reduceFloat32(d, s, op)
 	case Int64:
-		for off := 0; off < dst.Len(); off += 8 {
-			a := int64(binary.LittleEndian.Uint64(dst.Data[off:]))
-			b := int64(binary.LittleEndian.Uint64(src.Data[off:]))
-			binary.LittleEndian.PutUint64(dst.Data[off:], uint64(applyI(a, b, op)))
-		}
-	case Int32:
-		for off := 0; off < dst.Len(); off += 4 {
-			a := int32(binary.LittleEndian.Uint32(dst.Data[off:]))
-			b := int32(binary.LittleEndian.Uint32(src.Data[off:]))
-			binary.LittleEndian.PutUint32(dst.Data[off:], uint32(applyI32(a, b, op)))
-		}
-	case Uint32:
-		for off := 0; off < dst.Len(); off += 4 {
-			a := binary.LittleEndian.Uint32(dst.Data[off:])
-			b := binary.LittleEndian.Uint32(src.Data[off:])
-			binary.LittleEndian.PutUint32(dst.Data[off:], applyU32(a, b, op))
-		}
+		reduceInt64(d, s, op)
+	case Int32, Uint32:
+		reduce32(d, s, op, dt == Int32)
 	case Byte:
-		for off := 0; off < dst.Len(); off++ {
-			dst.Data[off] = byte(applyI(int64(dst.Data[off]), int64(src.Data[off]), op))
-		}
+		reduceByte(d, s, op)
 	}
 	return dst
 }
 
-func applyF(a, b float64, op Op) float64 {
+func getF64(b []byte) float64    { return math.Float64frombits(binary.LittleEndian.Uint64(b)) }
+func putF64(b []byte, v float64) { binary.LittleEndian.PutUint64(b, math.Float64bits(v)) }
+func getF32(b []byte) float32    { return math.Float32frombits(binary.LittleEndian.Uint32(b)) }
+func putF32(b []byte, v float32) { binary.LittleEndian.PutUint32(b, math.Float32bits(v)) }
+
+func badOp(op Op) string { return fmt.Sprint("mpi: unknown op ", int(op)) }
+
+// reduceFloat64 is the float64 kernel. Max and min go through math.Max and
+// math.Min, whose NaN and signed-zero rules define the result.
+func reduceFloat64(d, s []byte, op Op) {
+	s = s[:len(d)]
 	switch op {
 	case OpSum:
-		return a + b
-	case OpMax:
-		return math.Max(a, b)
-	case OpMin:
-		return math.Min(a, b)
+		for i := 0; i+8 <= len(d); i += 8 {
+			dw, sw := d[i:i+8:i+8], s[i:i+8:i+8]
+			putF64(dw, getF64(dw)+getF64(sw))
+		}
 	case OpProd:
-		return a * b
+		for i := 0; i+8 <= len(d); i += 8 {
+			dw, sw := d[i:i+8:i+8], s[i:i+8:i+8]
+			putF64(dw, getF64(dw)*getF64(sw))
+		}
+	case OpMax:
+		for i := 0; i+8 <= len(d); i += 8 {
+			dw, sw := d[i:i+8:i+8], s[i:i+8:i+8]
+			putF64(dw, math.Max(getF64(dw), getF64(sw)))
+		}
+	case OpMin:
+		for i := 0; i+8 <= len(d); i += 8 {
+			dw, sw := d[i:i+8:i+8], s[i:i+8:i+8]
+			putF64(dw, math.Min(getF64(dw), getF64(sw)))
+		}
 	default:
-		panic(fmt.Sprintf("mpi: unknown op %d", int(op)))
+		panic(badOp(op))
 	}
 }
 
-func applyF32(a, b float32, op Op) float32 {
+// reduceFloat32 is the float32 kernel; max32 and min32 give its NaN rules.
+func reduceFloat32(d, s []byte, op Op) {
+	s = s[:len(d)]
 	switch op {
 	case OpSum:
-		return a + b
-	case OpMax:
-		if a > b || a != a { // NaN propagates, matching math.Max
-			return a
+		for i := 0; i+4 <= len(d); i += 4 {
+			dw, sw := d[i:i+4:i+4], s[i:i+4:i+4]
+			putF32(dw, getF32(dw)+getF32(sw))
 		}
-		return b
-	case OpMin:
-		if a < b || a != a {
-			return a
-		}
-		return b
 	case OpProd:
-		return a * b
+		for i := 0; i+4 <= len(d); i += 4 {
+			dw, sw := d[i:i+4:i+4], s[i:i+4:i+4]
+			putF32(dw, getF32(dw)*getF32(sw))
+		}
+	case OpMax:
+		for i := 0; i+4 <= len(d); i += 4 {
+			dw, sw := d[i:i+4:i+4], s[i:i+4:i+4]
+			putF32(dw, max32(getF32(dw), getF32(sw)))
+		}
+	case OpMin:
+		for i := 0; i+4 <= len(d); i += 4 {
+			dw, sw := d[i:i+4:i+4], s[i:i+4:i+4]
+			putF32(dw, min32(getF32(dw), getF32(sw)))
+		}
 	default:
-		panic(fmt.Sprintf("mpi: unknown op %d", int(op)))
+		panic(badOp(op))
 	}
 }
 
-func applyI(a, b int64, op Op) int64 {
+// max32 and min32 return a when it is NaN or wins the comparison and b
+// otherwise, so a NaN on either side propagates, matching math.Max.
+func max32(a, b float32) float32 {
+	if a > b || a != a {
+		return a
+	}
+	return b
+}
+
+func min32(a, b float32) float32 {
+	if a < b || a != a {
+		return a
+	}
+	return b
+}
+
+// reduceInt64 is the int64 kernel. Sums and products wrap, so they run on
+// the raw uint64 words.
+func reduceInt64(d, s []byte, op Op) {
+	s = s[:len(d)]
+	le := binary.LittleEndian
 	switch op {
 	case OpSum:
-		return a + b
-	case OpMax:
-		if a > b {
-			return a
+		for i := 0; i+8 <= len(d); i += 8 {
+			dw, sw := d[i:i+8:i+8], s[i:i+8:i+8]
+			le.PutUint64(dw, le.Uint64(dw)+le.Uint64(sw))
 		}
-		return b
-	case OpMin:
-		if a < b {
-			return a
-		}
-		return b
 	case OpProd:
-		return a * b
+		for i := 0; i+8 <= len(d); i += 8 {
+			dw, sw := d[i:i+8:i+8], s[i:i+8:i+8]
+			le.PutUint64(dw, le.Uint64(dw)*le.Uint64(sw))
+		}
+	case OpMax:
+		for i := 0; i+8 <= len(d); i += 8 {
+			dw, sw := d[i:i+8:i+8], s[i:i+8:i+8]
+			le.PutUint64(dw, uint64(max(int64(le.Uint64(dw)), int64(le.Uint64(sw)))))
+		}
+	case OpMin:
+		for i := 0; i+8 <= len(d); i += 8 {
+			dw, sw := d[i:i+8:i+8], s[i:i+8:i+8]
+			le.PutUint64(dw, uint64(min(int64(le.Uint64(dw)), int64(le.Uint64(sw)))))
+		}
 	default:
-		panic(fmt.Sprintf("mpi: unknown op %d", int(op)))
+		panic(badOp(op))
 	}
 }
 
-func applyI32(a, b int32, op Op) int32 {
-	switch op {
-	case OpSum:
-		return a + b
-	case OpMax:
-		if a > b {
-			return a
+// reduce32 is the int32 and uint32 kernel. Sums and products wrap, so both
+// types share them; max and min compare signed for int32, unsigned for
+// uint32.
+func reduce32(d, s []byte, op Op, signed bool) {
+	s = s[:len(d)]
+	le := binary.LittleEndian
+	switch {
+	case op == OpSum:
+		for i := 0; i+4 <= len(d); i += 4 {
+			dw, sw := d[i:i+4:i+4], s[i:i+4:i+4]
+			le.PutUint32(dw, le.Uint32(dw)+le.Uint32(sw))
 		}
-		return b
-	case OpMin:
-		if a < b {
-			return a
+	case op == OpProd:
+		for i := 0; i+4 <= len(d); i += 4 {
+			dw, sw := d[i:i+4:i+4], s[i:i+4:i+4]
+			le.PutUint32(dw, le.Uint32(dw)*le.Uint32(sw))
 		}
-		return b
-	case OpProd:
-		return a * b
+	case op == OpMax && signed:
+		for i := 0; i+4 <= len(d); i += 4 {
+			dw, sw := d[i:i+4:i+4], s[i:i+4:i+4]
+			le.PutUint32(dw, uint32(max(int32(le.Uint32(dw)), int32(le.Uint32(sw)))))
+		}
+	case op == OpMin && signed:
+		for i := 0; i+4 <= len(d); i += 4 {
+			dw, sw := d[i:i+4:i+4], s[i:i+4:i+4]
+			le.PutUint32(dw, uint32(min(int32(le.Uint32(dw)), int32(le.Uint32(sw)))))
+		}
+	case op == OpMax:
+		for i := 0; i+4 <= len(d); i += 4 {
+			dw, sw := d[i:i+4:i+4], s[i:i+4:i+4]
+			le.PutUint32(dw, max(le.Uint32(dw), le.Uint32(sw)))
+		}
+	case op == OpMin:
+		for i := 0; i+4 <= len(d); i += 4 {
+			dw, sw := d[i:i+4:i+4], s[i:i+4:i+4]
+			le.PutUint32(dw, min(le.Uint32(dw), le.Uint32(sw)))
+		}
 	default:
-		panic(fmt.Sprintf("mpi: unknown op %d", int(op)))
+		panic(badOp(op))
 	}
 }
 
-func applyU32(a, b uint32, op Op) uint32 {
+// reduceByte is the byte kernel: unsigned, sums and products wrap mod 256.
+func reduceByte(d, s []byte, op Op) {
+	s = s[:len(d)]
 	switch op {
 	case OpSum:
-		return a + b
-	case OpMax:
-		if a > b {
-			return a
+		for i := range d {
+			d[i] += s[i]
 		}
-		return b
-	case OpMin:
-		if a < b {
-			return a
-		}
-		return b
 	case OpProd:
-		return a * b
+		for i := range d {
+			d[i] *= s[i]
+		}
+	case OpMax:
+		for i := range d {
+			d[i] = max(d[i], s[i])
+		}
+	case OpMin:
+		for i := range d {
+			d[i] = min(d[i], s[i])
+		}
 	default:
-		panic(fmt.Sprintf("mpi: unknown op %d", int(op)))
+		panic(badOp(op))
 	}
 }
 

@@ -1,6 +1,6 @@
 #!/bin/sh
-# Machine-readable performance snapshot: runs cmd/benchjson and writes the
-# committed BENCH_PR8.json (seal/open ns/op, MB/s, allocs/op per engine and
+# Machine-readable performance snapshot: runs cmd/benchjson and writes a
+# fresh report to .bench_out/bench.json (seal/open ns/op, MB/s, allocs/op per engine and
 # size; 16x4KiB concurrent aggregate through the shared crypto pool vs the
 # per-call baseline; shm ping-pong; simulated collective latencies incl.
 # BcastPipelined vs Bcast; multi-pair TCP bandwidth with the batched wire
@@ -10,11 +10,14 @@
 # shm_ring comparing zero-copy slot-ring delivery vs seed inline copies).
 #
 # QUICK=1 bounds the measurement loops for CI smoke use; OUT overrides the
-# output path. `make bench` is the entry point.
+# output path. The default path is gitignored, so a run never overwrites a
+# committed BENCH_PR*.json snapshot; copy the report there by hand to record
+# a new one. `make bench` is the entry point.
 set -eu
 cd "$(dirname "$0")/.."
 
-OUT="${OUT:-BENCH_PR8.json}"
+OUT="${OUT:-.bench_out/bench.json}"
+mkdir -p "$(dirname "$OUT")"
 FLAGS=""
 [ "${QUICK:-0}" = "1" ] && FLAGS="-quick"
 

@@ -118,6 +118,13 @@ awk -F': ' '
 	}
 ' /tmp/encmpi_bench_smoke.json
 
+echo "== perfbench self-test (every workload runs tiny, checked, all metrics printed)"
+# The repository benchmark is its own module under perfbench/; its tests run
+# each workload briefly, traced and untraced, and pin the metric list
+# against BENCHMARK.json. The environment matches perfbench/run.sh: no
+# module proxy, no workspace, the local toolchain only.
+(cd perfbench && GOPROXY=off GOWORK=off GOTOOLCHAIN=local go test -count=1 .)
+
 fuzz ./internal/aead FuzzDecryptMessage
 fuzz ./internal/aead/gcm FuzzOpenRejectsGarbage
 fuzz ./internal/encmpi FuzzParallelOpen
