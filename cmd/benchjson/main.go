@@ -2,14 +2,13 @@
 // snapshot (committed as BENCH_PR10.json): seal/open ns/op, MB/s, and
 // allocs/op for the sequential and chunked-parallel engines across message
 // sizes, aggregate throughput of 16 concurrent 4 KiB messages through the
-// shared crypto worker pool versus the per-call goroutine baseline, an
-// in-process encrypted ping-pong, simulated collective latencies including
-// the segmented pipelined broadcast against plain Bcast, the multi-pair
-// TCP bandwidth suite comparing the asynchronous batched wire engine
-// against the synchronous write-under-mutex baseline (WithWireBatching),
-// and the chunked-rendezvous p2p suite comparing unencrypted, serialized
-// encrypted, and overlap-chunked encrypted 1 MiB transfers over real TCP
-// and the simulated 40 G InfiniBand fabric (DESIGN.md §12), plus the
+// shared crypto worker pool, an in-process encrypted ping-pong, simulated
+// collective latencies including the segmented pipelined broadcast against
+// plain Bcast, the multi-pair TCP bandwidth suite with the batched wire
+// engine's coalescing accounting, and the chunked-rendezvous p2p suite
+// comparing unencrypted, serialized encrypted, and overlap-chunked encrypted
+// 1 MiB transfers over real TCP and the simulated 40 G InfiniBand fabric
+// (DESIGN.md §12), plus the
 // session_overhead suite pricing the context-AAD binding of sessions
 // (DESIGN.md §13) against the legacy nonce-only engine, and the shm_ring
 // suite comparing the zero-copy slot-ring shm path against the seed's
@@ -58,8 +57,6 @@ type concurrentEntry struct {
 	Size       int     `json:"size"`
 	Goroutines int     `json:"goroutines"`
 	PooledMBps float64 `json:"pooled_mb_s"`
-	SpawnMBps  float64 `json:"percall_mb_s"`
-	GainPct    float64 `json:"gain_pct"`
 }
 
 type pingPongEntry struct {
@@ -114,8 +111,6 @@ type multiPairEntry struct {
 	Size        int     `json:"size"`
 	MsgsPerPair int     `json:"msgs_per_pair"`
 	BatchedMBps float64 `json:"batched_mb_s"`
-	SyncMBps    float64 `json:"sync_mb_s"`
-	GainPct     float64 `json:"gain_pct"`
 	Flushes     uint64  `json:"batched_flushes"`
 	Frames      uint64  `json:"batched_frames"`
 	MeanBatch   float64 `json:"batched_mean_batch_frames"`
@@ -230,10 +225,8 @@ func main() {
 	}
 
 	key := bytes.Repeat([]byte{0x42}, 32)
-	mkEngine := func(kind string, spawn bool) encmpi.Engine {
-		e, err := encmpi.NewEngine(encmpi.EngineSpec{
-			Kind: kind, Codec: "aesstd", Key: key, SpawnPerCall: spawn,
-		})
+	mkEngine := func(kind string) encmpi.Engine {
+		e, err := encmpi.NewEngine(encmpi.EngineSpec{Kind: kind, Codec: "aesstd", Key: key})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -244,23 +237,18 @@ func main() {
 	if *quick {
 		sizes = []int{4 << 10, 256 << 10}
 	}
-	engines := []struct {
-		name  string
-		kind  string
-		spawn bool
-	}{
-		{"real-aesstd", "real", false},
-		{"parallel-pooled", "parallel", false},
-		{"parallel-percall", "parallel", true},
+	engines := []struct{ name, kind string }{
+		{"real-aesstd", "real"},
+		{"parallel-pooled", "parallel"},
 	}
 	for _, eng := range engines {
 		for _, size := range sizes {
-			e := mkEngine(eng.kind, eng.spawn)
+			e := mkEngine(eng.kind)
 			rep.SealOpen = append(rep.SealOpen, measureSealOpen(eng.name, e, size, budget))
 		}
 	}
 
-	rep.Concurrent = measureConcurrent(mkEngine, budget)
+	rep.Concurrent = measureConcurrent(mkEngine("parallel"), budget)
 	rep.PingPong = measurePingPong(key, *quick)
 	rep.Collectives, rep.BcastPipeline = measureCollectives(*quick)
 	rep.HierColl, rep.HierCrossover = measureHierColl(*quick)
@@ -338,40 +326,34 @@ func measureSealOpen(name string, e encmpi.Engine, size int, budget time.Duratio
 
 // measureConcurrent reports aggregate seal+open throughput of 16 goroutines
 // each working independent 4 KiB messages — the concurrent-small-message
-// regime the shared pool exists for — under both dispatch strategies.
-func measureConcurrent(mk func(kind string, spawn bool) encmpi.Engine, budget time.Duration) concurrentEntry {
+// regime the shared pool exists for.
+func measureConcurrent(e encmpi.Engine, budget time.Duration) concurrentEntry {
 	const size = 4 << 10
 	const conc = 16
 	payload := bytes.Repeat([]byte{0xAB}, size)
-	aggregate := func(e encmpi.Engine) float64 {
-		nsPerRound := timeOp(budget*4, func() {
-			var wg sync.WaitGroup
-			for g := 0; g < conc; g++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for i := 0; i < 8; i++ {
-						w := e.Seal(nil, encmpi.Bytes(payload))
-						p, err := e.Open(nil, w)
-						if err != nil {
-							log.Fatal(err)
-						}
-						p.Release()
-						w.Release()
+	nsPerRound := timeOp(budget*4, func() {
+		var wg sync.WaitGroup
+		for g := 0; g < conc; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 8; i++ {
+					w := e.Seal(nil, encmpi.Bytes(payload))
+					p, err := e.Open(nil, w)
+					if err != nil {
+						log.Fatal(err)
 					}
-				}()
-			}
-			wg.Wait()
-		})
-		return float64(size) * 8 * conc / nsPerRound * 1e3 // MB/s
+					p.Release()
+					w.Release()
+				}
+			}()
+		}
+		wg.Wait()
+	})
+	return concurrentEntry{
+		Size: size, Goroutines: conc,
+		PooledMBps: float64(size) * 8 * conc / nsPerRound * 1e3, // MB/s
 	}
-	pooled := aggregate(mk("parallel", false))
-	spawn := aggregate(mk("parallel", true))
-	entry := concurrentEntry{Size: size, Goroutines: conc, PooledMBps: pooled, SpawnMBps: spawn}
-	if spawn > 0 {
-		entry.GainPct = (pooled/spawn - 1) * 100
-	}
-	return entry
 }
 
 // measurePingPong times a blocking encrypted ping-pong over the in-process
@@ -578,7 +560,7 @@ func measureHierColl(quick bool) ([]hierCollEntry, []hierCrossoverEntry) {
 // rank pairs each pushing msgs messages of the given size concurrently over
 // real TCP sockets. It returns the aggregate payload bandwidth in MB/s,
 // measured between two barriers so mesh setup is excluded.
-func runMultiPair(pairs, size, msgs int, batched bool, reg *encmpi.Registry) float64 {
+func runMultiPair(pairs, size, msgs int, reg *encmpi.Registry) float64 {
 	payload := bytes.Repeat([]byte{0xEE}, size)
 	var elapsed time.Duration
 	err := encmpi.RunTCP(2*pairs, func(c *encmpi.Comm) {
@@ -604,7 +586,7 @@ func runMultiPair(pairs, size, msgs int, batched bool, reg *encmpi.Registry) flo
 		if c.Rank() == 0 {
 			elapsed = time.Since(start)
 		}
-	}, encmpi.WithWireBatching(batched), encmpi.WithMetrics(reg))
+	}, encmpi.WithMetrics(reg))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -612,21 +594,20 @@ func runMultiPair(pairs, size, msgs int, batched bool, reg *encmpi.Registry) flo
 	return totalBytes / elapsed.Seconds() / 1e6
 }
 
-// measureMultiPair is the wire-engine A/B suite: aggregate bandwidth of
-// several concurrent rank pairs, batched versus SyncWrites, across the
-// regimes the engine was built for (small eager messages, where syscall
-// coalescing pays) and the ones it must not hurt (large rendezvous
-// payloads). The batched column also reports the engine's own accounting —
-// flush count and mean frames per flush — as direct evidence the win comes
-// from coalescing, not noise.
+// measureMultiPair is the wire-engine suite: aggregate bandwidth of several
+// concurrent rank pairs across the regimes the engine was built for (small
+// eager messages, where syscall coalescing pays) and the ones it must not
+// hurt (large rendezvous payloads). Each entry also reports the engine's own
+// accounting — flush count and mean frames per flush — as direct evidence
+// that the wire coalesces.
 func measureMultiPair(quick bool) []multiPairEntry {
 	pairs := 4
 	sizes := []int{1 << 10, 4 << 10, 256 << 10, 1 << 20}
-	rounds := 6
+	rounds := 12
 	if quick {
 		pairs = 2
 		sizes = []int{1 << 10, 256 << 10}
-		rounds = 1
+		rounds = 2
 	}
 	var out []multiPairEntry
 	for _, size := range sizes {
@@ -637,31 +618,19 @@ func measureMultiPair(quick bool) []multiPairEntry {
 		if quick {
 			msgs /= 8
 		}
-		// The two modes are sampled in interleaved A/B/B/A rounds and scored
-		// best-of: machine speed on a shared box drifts by tens of percent
-		// between invocations, so back-to-back blocks per mode would measure
-		// the drift, not the engine, while the max over interleaved samples
-		// converges on each mode's capability under the same conditions.
-		// Timed runs carry no metrics registry — accounting must not tax one
-		// side — so the coalescing evidence (flush count, mean batch) comes
-		// from one separate instrumented run after the timing.
+		// Scored best-of: machine speed on a shared box drifts by tens of
+		// percent between invocations, and the max over samples converges on
+		// the engine's capability. Timed runs carry no metrics registry —
+		// accounting must not tax the timing — so the coalescing evidence
+		// (flush count, mean batch) comes from one separate instrumented run.
 		e := multiPairEntry{Pairs: pairs, Size: size, MsgsPerPair: msgs}
-		keep := func(dst *float64, batched bool) {
-			if v := runMultiPair(pairs, size, msgs, batched, nil); v > *dst {
-				*dst = v
+		for i := 0; i < rounds; i++ {
+			if v := runMultiPair(pairs, size, msgs, nil); v > e.BatchedMBps {
+				e.BatchedMBps = v
 			}
 		}
-		for i := 0; i < rounds; i++ {
-			keep(&e.BatchedMBps, true)
-			keep(&e.SyncMBps, false)
-			keep(&e.SyncMBps, false)
-			keep(&e.BatchedMBps, true)
-		}
-		if e.SyncMBps > 0 {
-			e.GainPct = (e.BatchedMBps/e.SyncMBps - 1) * 100
-		}
 		reg := encmpi.NewRegistry(2 * pairs)
-		runMultiPair(pairs, size, msgs, true, reg)
+		runMultiPair(pairs, size, msgs, reg)
 		wire := reg.Snapshot().Wire
 		e.Flushes, e.Frames = wire.Flushes, wire.Frames
 		if wire.Flushes > 0 {

@@ -1,34 +1,39 @@
 package encmpi
 
 import (
+	"fmt"
+
 	"encmpi/internal/mpi"
 	"encmpi/internal/session"
 )
 
-// BcastPipelined is the segmented broadcast: the overlap design of
-// SendPipelined lifted onto the binomial tree. A plain encrypted Bcast
-// seals the whole message, then every tree hop serializes crypto and wire
-// time; here the root seals the message chunk by chunk (each chunk an
-// independent AEAD message, as in SendPipelined) and streams the sealed
-// chunks down the tree, so chunk k+1's encryption and injection overlap
-// chunk k's descent. Interior ranks forward each ciphertext chunk to their
-// children *before* decrypting it, so a chunk's decryption overlaps the
-// next chunk's wire time and the paper's one-seal, p−1-opens accounting is
-// preserved — ciphertext travels the tree unmodified, exactly like Bcast.
+// BcastPipelined is the segmented broadcast: the chunked crypto–wire overlap
+// of the paper's §V-C discussion (the technique later encrypted-MPI systems
+// adopted) lifted onto the binomial tree. A plain encrypted Bcast seals the
+// whole message, then every tree hop serializes crypto and wire time; here
+// the root seals the message chunk by chunk (each chunk an independent AEAD
+// message under its own nonce) and streams the sealed chunks down the tree,
+// so chunk k+1's encryption and injection overlap chunk k's descent.
+// Interior ranks forward each ciphertext chunk to their children *before*
+// decrypting it, so a chunk's decryption overlaps the next chunk's wire time
+// and the paper's one-seal, p−1-opens accounting is preserved — ciphertext
+// travels the tree unmodified, exactly like Bcast.
 //
-// The chunk tag space is SendPipelined's: the 16-byte announcement header
-// travels at tag, chunk k at tag+pipelineTagStride·(k+1). All ranks must
-// pass the same root and tag; the chunk size is the root's — it rides the
-// header, and every relay cuts the stream where the root did, so a rank
-// passing a different chunk cannot corrupt the broadcast. Non-root ranks
-// may pass the zero Buffer; the root's return value is its own buf.
+// The 16-byte announcement header travels at tag, chunk k at
+// tag+pipelineTagStride·(k+1). All ranks must pass the same root and tag;
+// the chunk size is the root's — it rides the header, and every relay cuts
+// the stream where the root did, so a rank passing a different chunk cannot
+// corrupt the broadcast. Non-root ranks may pass the zero Buffer; the root's
+// return value is its own buf.
 //
 // Error handling follows the hostile-bytes contract: a chunk that fails
 // authentication is still forwarded (it was forwarded before it was
 // opened), the remaining chunks keep flowing so descendants never block on
 // this rank, and the error is returned once the stream has drained. A
-// header that fails to open poisons this rank's subtree — like an aborted
-// SendPipelined exchange, later chunks then land in the unexpected queue.
+// header that fails to open poisons this rank's subtree: later chunks then
+// land in the unexpected queue. A receive the transport failed is reported
+// as mpi.ErrTransport, not as the malformed or unauthenticated record its
+// empty buffer would otherwise look like.
 func (e *Comm) BcastPipelined(root, tag int, buf mpi.Buffer, chunk int) (mpi.Buffer, error) {
 	if chunk <= 0 {
 		chunk = DefaultChunk
@@ -48,6 +53,14 @@ func (e *Comm) BcastPipelined(root, tag int, buf mpi.Buffer, chunk int) (mpi.Buf
 	}
 	return e.bcastPipeRelay(root, tag, chunk, (parentRel+root)%p, children)
 }
+
+// DefaultChunk is the pipeline chunk size. 256 KB balances per-chunk
+// overhead (28 bytes + a nonce generation each) against overlap depth.
+const DefaultChunk = 256 << 10
+
+// pipelineTagStride separates chunk tags within one broadcast, leaving the
+// plain tag space below it to the caller.
+const pipelineTagStride = 1 << 20
 
 // bcastPipeCtx derives the record context of the pipelined broadcast's
 // stream: every record is sealed by the root for the whole tree (relays
@@ -123,7 +136,8 @@ func (e *Comm) bcastPipeRoot(tag int, buf mpi.Buffer, chunk int, children []int)
 // each chunk to the children before opening it, and assembles the plaintext
 // into a buffer preallocated from the announced total.
 func (e *Comm) bcastPipeRelay(root, tag, chunk, parent int, children []int) (mpi.Buffer, error) {
-	hw, _ := e.c.Recv(parent, tag)
+	hreq := e.c.Irecv(parent, tag)
+	hw, _ := e.c.Wait(hreq)
 	var pending []*mpi.Request
 	wires := []mpi.Buffer{hw}
 	release := func() {
@@ -133,6 +147,11 @@ func (e *Comm) bcastPipeRelay(root, tag, chunk, parent int, children []int) (mpi
 	}
 	for _, c := range children {
 		pending = append(pending, e.c.Isend(c, tag, hw))
+	}
+	if err := hreq.Err(); err != nil {
+		e.c.Waitall(pending)
+		release()
+		return mpi.Buffer{}, fmt.Errorf("encmpi: pipelined bcast header: %w", err)
 	}
 	// Every record in the stream was sealed by the root, wherever in the
 	// tree this rank received it from.
@@ -178,6 +197,13 @@ func (e *Comm) bcastPipeRelay(root, tag, chunk, parent int, children []int) (mpi
 		for _, c := range children {
 			pending = append(pending, e.c.Isend(c, tag+pipelineTagStride*(k+1), w))
 		}
+		if err := r.Err(); err != nil {
+			// The transport lost this chunk: there is nothing to open.
+			if firstErr == nil {
+				firstErr = fmt.Errorf("encmpi: pipelined bcast chunk %d: %w", k, err)
+			}
+			continue
+		}
 		plain, err := e.open(w, e.bcastPipeCtx(root, tag, k, chunks))
 		if err != nil {
 			// Keep relaying so descendants drain cleanly; record the
@@ -213,4 +239,53 @@ func (e *Comm) bcastPipeRelay(root, tag, chunk, parent int, children []int) (mpi
 		return mpi.Synthetic(total), nil
 	}
 	return mpi.Bytes(out), nil
+}
+
+// pipelineHeaderLen is the fixed size of the little-endian announcement
+// header: total(8) ‖ chunk(8).
+const pipelineHeaderLen = 16
+
+// maxPipelineTotal caps the length a header may announce (1 TiB). Without a
+// cap, eight hostile header bytes could demand a petabyte-sized receive
+// loop; with it, an absurd length is rejected as malformed before any
+// allocation happens.
+const maxPipelineTotal = 1 << 40
+
+// maxPipelineChunks caps how many chunk receives a header may demand: an
+// in-cap total split by a tiny chunk size would otherwise post a billion
+// requests before a single payload byte arrives.
+const maxPipelineChunks = 1 << 20
+
+func encodePipeHeader(total, chunk int) []byte {
+	out := make([]byte, pipelineHeaderLen)
+	for i := 0; i < 8; i++ {
+		out[i] = byte(uint64(total) >> (8 * i))
+		out[8+i] = byte(uint64(chunk) >> (8 * i))
+	}
+	return out
+}
+
+// decodePipeHeader validates and decodes a pipeline announcement header.
+// Short, long, negative, and absurdly large totals are malformed, as is any
+// chunk size that is zero, negative, or demands an absurd number of chunks
+// — never indexed blindly, never trusted into an allocation.
+func decodePipeHeader(b []byte) (total, chunk int, err error) {
+	if len(b) != pipelineHeaderLen {
+		return 0, 0, malformedf("pipelined length header is %d bytes, want %d", len(b), pipelineHeaderLen)
+	}
+	var ut, uc uint64
+	for i := 0; i < 8; i++ {
+		ut |= uint64(b[i]) << (8 * i)
+		uc |= uint64(b[8+i]) << (8 * i)
+	}
+	if ut > maxPipelineTotal {
+		return 0, 0, malformedf("pipelined length %d exceeds the %d-byte cap", ut, uint64(maxPipelineTotal))
+	}
+	if uc == 0 || uc > maxPipelineTotal {
+		return 0, 0, malformedf("pipelined chunk size %d is not a usable chunk", uc)
+	}
+	if (ut+uc-1)/uc > maxPipelineChunks {
+		return 0, 0, malformedf("pipelined header demands %d chunks, cap is %d", (ut+uc-1)/uc, maxPipelineChunks)
+	}
+	return int(ut), int(uc), nil
 }

@@ -2,6 +2,7 @@ package encmpi_test
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -15,6 +16,7 @@ import (
 	"encmpi/internal/mpi"
 	"encmpi/internal/sched"
 	"encmpi/internal/simnet"
+	"encmpi/internal/transport/shm"
 )
 
 // bcastPayload builds a deterministic test payload.
@@ -238,5 +240,145 @@ func TestBcastPipelinedBeatsBcast(t *testing.T) {
 		100*(1-float64(pipe)/float64(mono)))
 	if pipe >= mono {
 		t.Errorf("pipelined bcast (%v) not faster than monolithic (%v)", pipe, mono)
+	}
+}
+
+// TestPipelinedChunkMismatchNegotiated: ranks pass different chunk
+// arguments, and the broadcast must still be byte-exact because every relay
+// cuts the stream where the root's announced chunk size says, not where its
+// own argument would.
+func TestPipelinedChunkMismatchNegotiated(t *testing.T) {
+	payload := patterned(10_000)
+	for _, tc := range []struct{ rootChunk, relayChunk int }{
+		{3000, 1000},
+		{1000, 3000},
+		{4096, 0}, // the relay passes "default", the root does not
+	} {
+		runEncrypted(t, 2, "aesstd", func(e *encmpi.Comm) {
+			switch e.Rank() {
+			case 0:
+				if _, err := e.BcastPipelined(0, 2, mpi.Bytes(payload), tc.rootChunk); err != nil {
+					t.Errorf("root chunk %d: %v", tc.rootChunk, err)
+				}
+			case 1:
+				got, err := e.BcastPipelined(0, 2, mpi.Buffer{}, tc.relayChunk)
+				if err != nil {
+					t.Errorf("relay chunk %d vs root %d: %v", tc.relayChunk, tc.rootChunk, err)
+					return
+				}
+				if !bytes.Equal(got.Data, payload) {
+					t.Errorf("chunk %d vs %d: payload corrupted", tc.rootChunk, tc.relayChunk)
+				}
+			}
+		})
+	}
+}
+
+// pipeHeader hand-assembles the 16-byte little-endian announcement header
+// (total ‖ chunk) the way a hostile root would.
+func pipeHeader(total, chunk uint64) []byte {
+	out := make([]byte, 16)
+	for i := 0; i < 8; i++ {
+		out[i] = byte(total >> (8 * i))
+		out[8+i] = byte(chunk >> (8 * i))
+	}
+	return out
+}
+
+// pipeChunkTag is the tag chunk k of a pipelined broadcast at tag rides:
+// tag + pipelineTagStride·(k+1).
+func pipeChunkTag(tag, k int) int { return tag + (1<<20)*(k+1) }
+
+// TestPipelinedHostileHeaderRejected: a header announcing a zero chunk size,
+// a chunk size demanding an absurd number of chunk receives, or an absurd
+// total must fail the relay as malformed wire before any chunk receive is
+// posted. The hostile root seals the header like any record, so it
+// authenticates; only the decoded values are wrong.
+func TestPipelinedHostileHeaderRejected(t *testing.T) {
+	for _, tc := range []struct {
+		name         string
+		total, chunk uint64
+	}{
+		{"zero-chunk", 1 << 20, 0},
+		{"absurd-chunk-count", 1 << 40, 1},
+		{"absurd-total", 1 << 50, 1 << 20},
+	} {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			runEncrypted(t, 2, "aesstd", func(e *encmpi.Comm) {
+				switch e.Rank() {
+				case 0:
+					if err := e.Send(1, 3, mpi.Bytes(pipeHeader(tc.total, tc.chunk))); err != nil {
+						t.Error(err)
+					}
+				case 1:
+					_, err := e.BcastPipelined(0, 3, mpi.Buffer{}, 0)
+					if !errors.Is(err, encmpi.ErrMalformedWire) {
+						t.Errorf("hostile header error = %v, want ErrMalformedWire", err)
+					}
+				}
+			})
+		})
+	}
+}
+
+// TestPipelinedOvershootMalformed: a root pushing more chunk bytes than its
+// header announced must fail the relay with a malformed-wire error — not
+// assemble out of bounds, not truncate silently.
+func TestPipelinedOvershootMalformed(t *testing.T) {
+	runEncrypted(t, 2, "aesstd", func(e *encmpi.Comm) {
+		switch e.Rank() {
+		case 0:
+			// Announce 4000 bytes in 2000-byte chunks, then send two
+			// 3000-byte chunks: chunk 1 overruns the announcement.
+			if err := e.Send(1, 4, mpi.Bytes(pipeHeader(4000, 2000))); err != nil {
+				t.Error(err)
+			}
+			for k := 0; k < 2; k++ {
+				if err := e.Send(1, pipeChunkTag(4, k), mpi.Bytes(patterned(3000))); err != nil {
+					t.Errorf("chunk %d: %v", k, err)
+				}
+			}
+		case 1:
+			_, err := e.BcastPipelined(0, 4, mpi.Buffer{}, 0)
+			if !errors.Is(err, encmpi.ErrMalformedWire) {
+				t.Errorf("overshoot error = %v, want ErrMalformedWire", err)
+			}
+		}
+	})
+}
+
+// ctsFailingTransport forwards to an inner transport but fails every CTS
+// frame — the unit-level stand-in for a socket that dies after the sender's
+// RTS arrived.
+type ctsFailingTransport struct{ inner mpi.Transport }
+
+func (f ctsFailingTransport) Send(from sched.Proc, m *mpi.Msg) error {
+	if m.Kind == mpi.KindCTS {
+		return fmt.Errorf("synthetic CTS wire failure")
+	}
+	return f.inner.Send(from, m)
+}
+
+// TestBcastPipelinedRelayTransportError: a chunk receive the transport
+// failed must surface from the relay as mpi.ErrTransport, not as the
+// malformed or unauthenticated record its empty buffer would look like.
+// Rank 0 injects the header and one rendezvous-size chunk raw (the null
+// engine seals nothing), so the relay's chunk receive matches the RTS and
+// its CTS reply dies on the wire.
+func TestBcastPipelinedRelayTransportError(t *testing.T) {
+	inner := shm.New()
+	w := mpi.NewWorld(2, ctsFailingTransport{inner}, 1<<10)
+	inner.Bind(w)
+	var g sched.Group
+	c0, c1 := w.AttachRank(0, g.Proc()), w.AttachRank(1, g.Proc())
+
+	const tag, n = 6, 4 << 10 // past the 1 KiB eager threshold: rendezvous
+	c0.Isend(1, tag, mpi.Bytes(pipeHeader(n, n)))
+	c0.Isend(1, pipeChunkTag(tag, 0), mpi.Bytes(patterned(n)))
+
+	_, err := encmpi.Wrap(c1, encmpi.NullEngine{}).BcastPipelined(0, tag, mpi.Buffer{}, 0)
+	if !errors.Is(err, mpi.ErrTransport) {
+		t.Fatalf("relay error = %v, want ErrTransport", err)
 	}
 }

@@ -81,11 +81,6 @@ func (NullEngine) Open(_ sched.Proc, wire mpi.Buffer) (mpi.Buffer, error) { retu
 type RealEngine struct {
 	codec aead.Codec
 	nonce aead.NonceSource
-
-	// NoPool disables the pooled wire/plaintext buffers, restoring the
-	// allocate-per-call behaviour. It exists for the allocation benchmarks'
-	// baseline; leave it false in production.
-	NoPool bool
 }
 
 // NewRealEngine builds a real engine.
@@ -108,20 +103,9 @@ func (e *RealEngine) Seal(_ sched.Proc, plain mpi.Buffer) mpi.Buffer {
 	data := plain.Data
 	var scratch *bufpool.Lease
 	if plain.IsSynthetic() && plain.Len() > 0 {
-		if e.NoPool {
-			data = make([]byte, plain.Len())
-		} else {
-			scratch = bufpool.Get(plain.Len())
-			data = scratch.Bytes()[:plain.Len()]
-			clear(data) // pooled storage is dirty; the model is all-zeros
-		}
-	}
-	if e.NoPool {
-		wire, err := aead.EncryptMessage(e.codec, e.nonce, nil, data)
-		if err != nil {
-			panic(fmt.Sprintf("encmpi: nonce generation failed: %v", err))
-		}
-		return mpi.Bytes(wire)
+		scratch = bufpool.Get(plain.Len())
+		data = scratch.Bytes()[:plain.Len()]
+		clear(data) // pooled storage is dirty; the model is all-zeros
 	}
 	lease := bufpool.Get(aead.WireLen(len(data)))
 	// EncryptMessage writes into the leased storage when its capacity covers
@@ -145,9 +129,7 @@ func (e *RealEngine) Seal(_ sched.Proc, plain mpi.Buffer) mpi.Buffer {
 // accounted). A nonce may have been consumed on the realloc path; nonce
 // sources tolerate gaps.
 func (e *RealEngine) SealInto(_ sched.Proc, dst []byte, plain mpi.Buffer) (int, bool) {
-	if e.NoPool || plain.IsSynthetic() || aead.WireLen(plain.Len()) > len(dst) {
-		// NoPool is the allocate-per-call baseline: it must not dodge the
-		// allocation it exists to measure.
+	if plain.IsSynthetic() || aead.WireLen(plain.Len()) > len(dst) {
 		return 0, false
 	}
 	wire, err := aead.EncryptMessage(e.codec, e.nonce, dst[:0], plain.Data)
@@ -165,13 +147,6 @@ func (e *RealEngine) SealInto(_ sched.Proc, dst []byte, plain mpi.Buffer) (int, 
 func (e *RealEngine) Open(_ sched.Proc, wire mpi.Buffer) (mpi.Buffer, error) {
 	if wire.IsSynthetic() {
 		return mpi.Buffer{}, fmt.Errorf("encmpi: cannot decrypt a synthetic buffer with a real engine")
-	}
-	if e.NoPool {
-		plain, err := aead.DecryptMessage(e.codec, nil, wire.Data)
-		if err != nil {
-			return mpi.Buffer{}, err
-		}
-		return mpi.Bytes(plain), nil
 	}
 	n, err := aead.PlainLen(wire.Len())
 	if err != nil {

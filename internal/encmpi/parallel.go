@@ -3,7 +3,6 @@ package encmpi
 import (
 	"fmt"
 	"runtime"
-	"sync"
 
 	"encmpi/internal/aead"
 	"encmpi/internal/bufpool"
@@ -25,39 +24,20 @@ import (
 // goroutine fan-out: one large message parallelizes across its chunks, and
 // many concurrent small messages parallelize across their callers without
 // any spawn cost. Single-chunk messages are sealed inline — zero dispatch —
-// which is what makes the concurrent-small-message regime fast. The legacy
-// per-call fan-out survives behind SpawnPerCall as the ablation baseline.
+// which is what makes the concurrent-small-message regime fast.
 type ParallelEngine struct {
 	codec aead.Codec
 	nonce aead.NonceSource
 	// Workers is the parallelism grain: 1 forces fully inline sequential
-	// chunk processing; > 1 enables concurrent chunks (bounded by the shared
-	// pool's width on the pooled path, or by Workers itself on the legacy
-	// SpawnPerCall path, where it sizes the hoisted semaphore).
+	// chunk processing; > 1 enables concurrent chunks, bounded by the shared
+	// pool's width.
 	Workers int
 	// Chunk is the plaintext bytes per chunk.
 	Chunk int
 
-	// NoPool disables the pooled wire/plaintext buffers, restoring the
-	// allocate-per-call behaviour. It exists for the allocation benchmarks'
-	// baseline; leave it false in production.
-	NoPool bool
-
-	// SpawnPerCall disables the shared cryptopool and restores the original
-	// per-call goroutine fan-out (one spawned goroutine per chunk, bounded
-	// by a Workers-slot semaphore). It exists as the A/B baseline for the
-	// worker-pool benchmarks; leave it false in production.
-	SpawnPerCall bool
-
 	// WorkPool overrides the crypto worker pool; nil means the process-wide
 	// cryptopool.Default(). Tests use private pools for isolation.
 	WorkPool *cryptopool.Pool
-
-	// semOnce/sem lazily build the legacy path's chunk-concurrency
-	// semaphore once per engine instead of once per call (the per-call
-	// make(chan) was pure allocator churn on the hot path).
-	semOnce sync.Once
-	sem     chan struct{}
 }
 
 // DefaultParallelChunk balances parallelism grain against per-chunk
@@ -104,39 +84,12 @@ func (e *ParallelEngine) chunksOf(n int) int {
 // WireLen returns the on-wire size for an n-byte plaintext.
 func (e *ParallelEngine) WireLen(n int) int { return n + e.chunksOf(n)*aead.Overhead }
 
-// semaphore returns the legacy path's engine-lifetime chunk semaphore.
-func (e *ParallelEngine) semaphore() chan struct{} {
-	e.semOnce.Do(func() { e.sem = make(chan struct{}, e.Workers) })
-	return e.sem
-}
-
 // runChunks executes fn(0) … fn(chunks-1) under the engine's parallelism
 // policy. Single-chunk calls (and Workers == 1) run inline with no dispatch
-// at all; the legacy SpawnPerCall path spawns a goroutine per chunk bounded
-// by the hoisted semaphore; the default path hands chunks 1…n-1 to the
-// shared worker pool and runs chunk 0 on the caller — the caller is a
+// at all; otherwise chunks 1…n-1 go to the shared worker pool and runs chunk 0 on the caller — the caller is a
 // worker too, so a saturated pool degrades to caller-paced progress rather
 // than idle waiting.
 func (e *ParallelEngine) runChunks(chunks int, fn func(i int)) {
-	if e.SpawnPerCall {
-		// Legacy baseline: one spawned goroutine per chunk — even for a
-		// single chunk, as the pre-pool implementation did — bounded by the
-		// engine-lifetime semaphore.
-		sem := e.semaphore()
-		var wg sync.WaitGroup
-		for i := 0; i < chunks; i++ {
-			i := i
-			wg.Add(1)
-			sem <- struct{}{}
-			go func() {
-				defer wg.Done()
-				defer func() { <-sem }()
-				fn(i)
-			}()
-		}
-		wg.Wait()
-		return
-	}
 	if chunks == 1 || e.Workers == 1 {
 		for i := 0; i < chunks; i++ {
 			fn(i)
@@ -163,26 +116,16 @@ func (e *ParallelEngine) Seal(_ sched.Proc, plain mpi.Buffer) mpi.Buffer {
 	data := plain.Data
 	var scratch *bufpool.Lease
 	if plain.IsSynthetic() && plain.Len() > 0 {
-		if e.NoPool {
-			data = make([]byte, plain.Len())
-		} else {
-			scratch = bufpool.Get(plain.Len())
-			data = scratch.Bytes()[:plain.Len()]
-			clear(data) // pooled storage is dirty; the model is all-zeros
-		}
+		scratch = bufpool.Get(plain.Len())
+		data = scratch.Bytes()[:plain.Len()]
+		clear(data) // pooled storage is dirty; the model is all-zeros
 	}
 	n := len(data)
 	chunk := e.chunkSize()
 	chunks := e.chunksOf(n)
 	wireLen := e.WireLen(n)
-	var lease *bufpool.Lease
-	var out []byte
-	if e.NoPool {
-		out = make([]byte, wireLen)
-	} else {
-		lease = bufpool.Get(wireLen)
-		out = lease.Bytes()[:wireLen]
-	}
+	lease := bufpool.Get(wireLen)
+	out := lease.Bytes()[:wireLen]
 
 	// Draw all nonces up front, serially, straight into each chunk's wire
 	// span (the source is serialized anyway — no point paying a per-chunk
@@ -210,9 +153,6 @@ func (e *ParallelEngine) Seal(_ sched.Proc, plain mpi.Buffer) mpi.Buffer {
 		e.codec.Seal(out[wlo+aead.NonceSize:wlo+aead.NonceSize:whi], nonce, data[lo:hi])
 	})
 	scratch.Release()
-	if lease == nil {
-		return mpi.Bytes(out)
-	}
 	return mpi.PooledBytes(lease, wireLen)
 }
 
@@ -246,14 +186,8 @@ func (e *ParallelEngine) Open(_ sched.Proc, wire mpi.Buffer) (mpi.Buffer, error)
 			return mpi.Buffer{}, malformedf("parallel wire chunk %d spans [%d:%d) of a %d-byte wire", i, wlo, whi, len(w))
 		}
 	}
-	var lease *bufpool.Lease
-	var out []byte
-	if e.NoPool {
-		out = make([]byte, n)
-	} else {
-		lease = bufpool.Get(n)
-		out = lease.Bytes()[:n]
-	}
+	lease := bufpool.Get(n)
+	out := lease.Bytes()[:n]
 
 	errs := make([]error, chunks)
 	e.runChunks(chunks, func(i int) {
@@ -276,9 +210,6 @@ func (e *ParallelEngine) Open(_ sched.Proc, wire mpi.Buffer) (mpi.Buffer, error)
 			lease.Release()
 			return mpi.Buffer{}, err
 		}
-	}
-	if lease == nil {
-		return mpi.Bytes(out), nil
 	}
 	return mpi.PooledBytes(lease, n), nil
 }

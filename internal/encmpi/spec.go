@@ -34,10 +34,6 @@ type EngineSpec struct {
 	// GOMAXPROCS workers and the default 128 KiB chunk).
 	Workers int
 	Chunk   int
-	// SpawnPerCall opts the parallel kind out of the shared crypto worker
-	// pool, restoring per-call goroutine fan-out (the A/B baseline the
-	// worker-pool benchmarks compare against).
-	SpawnPerCall bool
 
 	// Library, Variant, and KeyBits configure the model kind ("boringssl",
 	// "openssl", "libsodium", "cryptopp"; "gcc485" or "mvapich"; 128/256).
@@ -79,7 +75,6 @@ func NewEngine(spec EngineSpec) (Engine, error) {
 		if spec.Chunk > 0 {
 			pe.Chunk = spec.Chunk
 		}
-		pe.SpawnPerCall = spec.SpawnPerCall
 		eng = pe
 	case "model":
 		p, err := costmodel.Lookup(spec.Library, costmodel.Variant(spec.Variant), spec.KeyBits)

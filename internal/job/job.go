@@ -46,9 +46,6 @@ type Options struct {
 	// config): messages shorter than the threshold travel eagerly, the rest
 	// by rendezvous.
 	EagerThreshold int
-	// TCPSyncWrites disables the TCP transport's asynchronous wire engine,
-	// restoring the write-under-mutex baseline (the batching A/B toggle).
-	TCPSyncWrites bool
 	// ShmRingSlots and ShmRingSlotBytes configure the shm transport's
 	// zero-copy slot rings (DESIGN.md §14): 0 keeps the transport defaults,
 	// ShmRingSlots < 0 disables the rings (the seed's inline-copy baseline).
@@ -113,7 +110,6 @@ func RunTCPOpts(n int, opts Options, body Body) error {
 		return err
 	}
 	defer tr.Close()
-	tr.SyncWrites = opts.TCPSyncWrites
 	tr.SetMetrics(opts.Metrics)
 	outer := opts.wrapFault(tr)
 	w := mpi.NewWorld(n, outer, opts.eager())

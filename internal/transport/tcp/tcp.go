@@ -57,24 +57,9 @@ type Transport struct {
 	w       *mpi.World
 	metrics *obs.Registry
 
-	// NoPool disables the frame/payload buffer pool, restoring the
-	// allocate-per-message behaviour. It exists so the allocation benchmarks
-	// can measure the pooled path against the historical baseline; leave it
-	// false in production. Set it before Bind.
-	NoPool bool
-
-	// SyncWrites disables the asynchronous wire engine and restores the
-	// historical write path: frame assembled in one buffer, written under a
-	// per-connection mutex, completion fired before Send returns. It is the
-	// A/B baseline the batching benchmarks compare against; leave it false
-	// in production. Set it before Bind.
-	SyncWrites bool
-
 	// conns[i][j] is the connection rank i writes to reach rank j.
 	conns [][]net.Conn
-	// wmu[i][j] serializes writers on that connection (SyncWrites path).
-	wmu [][]*sync.Mutex
-	// queues[i][j] is the wire engine for that connection (batched path).
+	// queues[i][j] is the wire engine for that connection.
 	queues [][]*wireQueue
 
 	closed  chan struct{}
@@ -98,13 +83,8 @@ const setupConcurrency = 128
 func New(n int) (*Transport, error) {
 	t := &Transport{n: n, closed: make(chan struct{})}
 	t.conns = make([][]net.Conn, n)
-	t.wmu = make([][]*sync.Mutex, n)
 	for i := range t.conns {
 		t.conns[i] = make([]net.Conn, n)
-		t.wmu[i] = make([]*sync.Mutex, n)
-		for j := range t.wmu[i] {
-			t.wmu[i][j] = &sync.Mutex{}
-		}
 	}
 
 	// One bidirectional connection per unordered pair {i, j}. Pairs write
@@ -195,15 +175,13 @@ func setNoDelay(c net.Conn) {
 // before Bind so the readers never race the installation.
 func (t *Transport) SetMetrics(g *obs.Registry) { t.metrics = g }
 
-// Bind attaches the world, starts one reader per connection end, and —
-// unless SyncWrites — one wire-engine writer per connection.
+// Bind attaches the world and starts one reader per connection end and one
+// wire-engine writer per connection.
 func (t *Transport) Bind(w *mpi.World) {
 	t.w = w
-	if !t.SyncWrites {
-		t.queues = make([][]*wireQueue, t.n)
-		for i := range t.queues {
-			t.queues[i] = make([]*wireQueue, t.n)
-		}
+	t.queues = make([][]*wireQueue, t.n)
+	for i := range t.queues {
+		t.queues[i] = make([]*wireQueue, t.n)
 	}
 	for i := 0; i < t.n; i++ {
 		for j := 0; j < t.n; j++ {
@@ -213,12 +191,10 @@ func (t *Transport) Bind(w *mpi.World) {
 			conn := t.conns[i][j]
 			t.readers.Add(1)
 			go t.readLoop(conn)
-			if !t.SyncWrites {
-				q := newWireQueue(t, conn, i, j)
-				t.queues[i][j] = q
-				t.writers.Add(1)
-				go q.writerLoop()
-			}
+			q := newWireQueue(t, conn, i, j)
+			t.queues[i][j] = q
+			t.writers.Add(1)
+			go q.writerLoop()
 		}
 	}
 }
@@ -286,12 +262,7 @@ func (t *Transport) readLoop(conn net.Conn) {
 			return
 		}
 		if buflen > 0 {
-			if t.NoPool {
-				m.Buf = mpi.Bytes(make([]byte, buflen))
-			} else {
-				lease := bufpool.Get(buflen)
-				m.Buf = mpi.PooledBytes(lease, buflen)
-			}
+			m.Buf = mpi.PooledBytes(bufpool.Get(buflen), buflen)
 			if _, err := io.ReadFull(r, m.Buf.Data); err != nil {
 				m.Buf.Release()
 				return
@@ -324,11 +295,6 @@ func (t *Transport) materialize(buf mpi.Buffer) mpi.Buffer {
 	if n == 0 {
 		return mpi.Buffer{}
 	}
-	if t.NoPool {
-		out := make([]byte, n)
-		copy(out, buf.Data) // no-op for synthetic: stays zeroed
-		return mpi.Bytes(out)
-	}
 	lease := bufpool.Get(n)
 	out := mpi.PooledBytes(lease, n)
 	if buf.IsSynthetic() {
@@ -345,7 +311,7 @@ func (t *Transport) materialize(buf mpi.Buffer) mpi.Buffer {
 // are returned or routed through m.Done.Failed, never panicked on; the mpi
 // core surfaces them as ErrTransport.
 //
-// On the default (batched) path, a nil return means the wire engine accepted
+// A nil return means the wire engine accepted
 // the message, not that it reached the kernel: the frame header is encoded
 // into a pooled slab, the payload is retained without copying, and the
 // message is queued for the connection's writer. Exactly one of Done.Injected
@@ -376,62 +342,10 @@ func (t *Transport) Send(_ sched.Proc, m *mpi.Msg) error {
 	if conn == nil {
 		return fmt.Errorf("tcp: no connection %d→%d", m.Src, m.Dst)
 	}
-	if !t.SyncWrites {
-		if t.queues == nil || t.queues[m.Src][m.Dst] == nil {
-			return fmt.Errorf("tcp: send %d→%d before Bind", m.Src, m.Dst)
-		}
-		return t.queues[m.Src][m.Dst].enqueue(m)
+	if t.queues == nil || t.queues[m.Src][m.Dst] == nil {
+		return fmt.Errorf("tcp: send %d→%d before Bind", m.Src, m.Dst)
 	}
-
-	n := m.Buf.Len()
-	var lease *bufpool.Lease
-	var frame []byte
-	if t.NoPool {
-		frame = make([]byte, headerLen+n)
-	} else {
-		lease = bufpool.Get(headerLen + n)
-		frame = lease.Bytes()[:headerLen+n]
-	}
-	binary.BigEndian.PutUint32(frame[0:], uint32(int32(m.Src)))
-	binary.BigEndian.PutUint32(frame[4:], uint32(int32(m.Dst)))
-	binary.BigEndian.PutUint64(frame[8:], uint64(int64(m.Tag)))
-	binary.BigEndian.PutUint64(frame[16:], uint64(int64(m.Ctx)))
-	binary.BigEndian.PutUint64(frame[24:], m.Seq)
-	binary.BigEndian.PutUint64(frame[32:], uint64(int64(m.DataLen)))
-	binary.BigEndian.PutUint64(frame[40:], uint64(int64(m.Chunks)))
-	binary.BigEndian.PutUint64(frame[48:], uint64(int64(n)))
-	frame[56] = byte(m.Kind)
-	binary.BigEndian.PutUint16(frame[57:], m.Lane)
-	frame[59] = 0 // pooled storage is dirty; the reserved byte must not leak it
-	if n > 0 {
-		if m.Buf.IsSynthetic() {
-			clear(frame[headerLen:]) // zeros on the wire, not pool garbage
-		} else {
-			copy(frame[headerLen:], m.Buf.Data)
-		}
-	}
-
-	mu := t.wmu[m.Src][m.Dst]
-	mu.Lock()
-	_, err := conn.Write(frame)
-	mu.Unlock()
-	lease.Release()
-	if err != nil {
-		select {
-		case <-t.closed:
-			return nil // shutting down; drops are expected
-		default:
-			return fmt.Errorf("tcp: write %d→%d: %w", m.Src, m.Dst, err)
-		}
-	}
-	if t.metrics != nil {
-		t.metrics.Rank(m.Src).MsgSent(n)
-	}
-	if m.Done != nil {
-		// The kernel accepted the whole frame: local completion.
-		m.Done.Injected()
-	}
-	return nil
+	return t.queues[m.Src][m.Dst].enqueue(m)
 }
 
 // Close flushes and tears down the transport. Order matters: first every

@@ -194,16 +194,14 @@ func FuzzFrameHeader(f *testing.F) {
 	})
 }
 
-// benchRoundtrip ping-pongs a 256 KiB rendezvous payload between two ranks,
-// with the receive side releasing its pooled buffers. Compare the Alloc pair
-// to see the pool removing the per-message frame and payload allocations.
-func benchRoundtrip(b *testing.B, noPool bool) {
+// BenchmarkTCPRoundtripAlloc ping-pongs a 256 KiB rendezvous payload between
+// two ranks, with the receive side releasing its pooled buffers.
+func BenchmarkTCPRoundtripAlloc(b *testing.B) {
 	tr, err := New(2)
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer tr.Close()
-	tr.NoPool = noPool
 	w := mpi.NewWorld(2, tr, 64<<10)
 	tr.Bind(w)
 	var g sched.Group
@@ -236,9 +234,6 @@ func benchRoundtrip(b *testing.B, noPool bool) {
 	b.StopTimer()
 	<-done
 }
-
-func BenchmarkTCPRoundtripAlloc(b *testing.B)         { benchRoundtrip(b, false) }
-func BenchmarkTCPRoundtripAllocUnpooled(b *testing.B) { benchRoundtrip(b, true) }
 
 // TestRoundtripAllocRegression pins the sequential 256 KiB rendezvous round
 // trip at zero steady-state allocations per operation: requests and protocol

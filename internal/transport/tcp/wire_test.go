@@ -239,45 +239,6 @@ func TestPartialWriteAttribution(t *testing.T) {
 	}
 }
 
-// TestSyncWritesBaseline: the A/B toggle restores the synchronous path — no
-// writer goroutines, no wire-engine accounting — and traffic still flows.
-func TestSyncWritesBaseline(t *testing.T) {
-	tr, err := New(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
-	tr.SyncWrites = true
-	reg := obs.NewRegistry(2)
-	tr.SetMetrics(reg)
-	w := mpi.NewWorld(2, tr, 64<<10)
-	tr.Bind(w)
-	var g sched.Group
-	c0 := w.AttachRank(0, g.Proc())
-	c1 := w.AttachRank(1, g.Proc())
-
-	done := make(chan error, 1)
-	go func() {
-		buf, _ := c1.Recv(0, 1)
-		defer buf.Release()
-		done <- c1.Send(0, 2, buf)
-	}()
-	if err := c0.Send(1, 1, mpi.Bytes([]byte("sync baseline"))); err != nil {
-		t.Fatal(err)
-	}
-	buf, _ := c0.Recv(1, 2)
-	if string(buf.Data) != "sync baseline" {
-		t.Fatalf("echo = %q", buf.Data)
-	}
-	buf.Release()
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	if flushes := reg.Snapshot().Wire.Flushes; flushes != 0 {
-		t.Fatalf("SyncWrites path recorded %d wire flushes, want 0", flushes)
-	}
-}
-
 // TestNoGoroutineLeakAfterClose runs traffic through the engine and checks
 // that Close reaps every goroutine the transport started — readers and
 // writers both — by comparing the process goroutine count to the pre-New

@@ -25,7 +25,6 @@ type config struct {
 	cryptoWorkers  int
 	eagerThreshold int
 	pipeThreshold  int
-	syncWrites     bool
 	ringSlots      int
 	ringSlotBytes  int
 	topology       func(rank int) int
@@ -53,7 +52,6 @@ func (c config) jobOptions() job.Options {
 		Metrics:          c.metrics,
 		Fault:            c.fault,
 		EagerThreshold:   c.eagerThreshold,
-		TCPSyncWrites:    c.syncWrites,
 		ShmRingSlots:     c.ringSlots,
 		ShmRingSlotBytes: c.ringSlotBytes,
 		Topology:         c.topology,
@@ -123,18 +121,6 @@ func WithShmRing(slots, slotBytes int) Option {
 		c.ringSlots = slots
 		c.ringSlotBytes = slotBytes
 	}
-}
-
-// WithWireBatching toggles the TCP transport's asynchronous wire engine
-// (RunTCP only). Enabled — the default — sends enqueue on a per-connection
-// queue and a writer goroutine coalesces everything pending into one
-// vectored write, so a burst of small messages costs one syscall instead of
-// one each; Send completion then means "accepted by the wire engine", with
-// late write failures routed to the affected request as ErrTransport.
-// Disabled restores the synchronous write-under-mutex baseline; it exists
-// for A/B measurement, not for production.
-func WithWireBatching(enabled bool) Option {
-	return func(c *config) { c.syncWrites = !enabled }
 }
 
 // WithTopology installs a rank→node map, enabling the hierarchical

@@ -1,13 +1,14 @@
 #!/bin/sh
 # Machine-readable performance snapshot: runs cmd/benchjson and writes a
-# fresh report to .bench_out/bench.json (seal/open ns/op, MB/s, allocs/op per engine and
-# size; 16x4KiB concurrent aggregate through the shared crypto pool vs the
-# per-call baseline; shm ping-pong; simulated collective latencies incl.
-# BcastPipelined vs Bcast; multi-pair TCP bandwidth with the batched wire
-# engine vs the SyncWrites baseline; chunked-rendezvous p2p overlap vs the
-# serial seal-whole-message path on TCP and the simulated IB40G cluster;
+# fresh report to .bench_out/bench.json (seal/open ns/op, MB/s, allocs/op per
+# engine and size; 16x4KiB concurrent aggregate through the shared crypto
+# pool; shm ping-pong; simulated collective latencies incl. BcastPipelined vs
+# Bcast; multi-pair TCP bandwidth with the batched wire engine's coalescing
+# accounting; chunked-rendezvous p2p overlap vs the serial
+# seal-whole-message path on TCP and the simulated IB40G cluster;
 # session_overhead pricing the context-AAD binding vs the legacy engine;
-# shm_ring comparing zero-copy slot-ring delivery vs seed inline copies).
+# shm_ring comparing zero-copy slot-ring delivery vs seed inline copies;
+# hier_coll and hear_allreduce on the simulated cluster).
 #
 # QUICK=1 bounds the measurement loops for CI smoke use; OUT overrides the
 # output path. The default path is gitignored, so a run never overwrites a

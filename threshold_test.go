@@ -80,43 +80,38 @@ func TestWithEagerThresholdBoundary(t *testing.T) {
 	}
 }
 
-// TestWireBatchingToggle pins the A/B contract of WithWireBatching over the
-// facade: batching on records wire-engine flushes in the metrics, batching
-// off records none, and the traffic is identical either way.
+// TestWireBatchingToggle pins the facade's TCP wire over the metrics:
+// traffic through RunTCP arrives intact and every frame is written by the
+// batched wire engine, so the registry records its flushes. Batching is the
+// only TCP write path, so batched=true is the one case.
 func TestWireBatchingToggle(t *testing.T) {
-	for _, batched := range []bool{true, false} {
-		t.Run(fmt.Sprintf("batched=%v", batched), func(t *testing.T) {
-			reg := encmpi.NewRegistry(2)
-			err := encmpi.RunTCP(2, func(c *encmpi.Comm) {
-				const rounds = 16
-				switch c.Rank() {
-				case 0:
-					for i := 0; i < rounds; i++ {
-						if err := c.Send(1, i, encmpi.Bytes([]byte("toggle probe"))); err != nil {
-							t.Error(err)
-							return
-						}
-					}
-				case 1:
-					for i := 0; i < rounds; i++ {
-						buf, _ := c.Recv(0, i)
-						if string(buf.Data) != "toggle probe" {
-							t.Errorf("round %d: %q", i, buf.Data)
-						}
-						buf.Release()
+	t.Run("batched=true", func(t *testing.T) {
+		reg := encmpi.NewRegistry(2)
+		err := encmpi.RunTCP(2, func(c *encmpi.Comm) {
+			const rounds = 16
+			switch c.Rank() {
+			case 0:
+				for i := 0; i < rounds; i++ {
+					if err := c.Send(1, i, encmpi.Bytes([]byte("batch probe"))); err != nil {
+						t.Error(err)
+						return
 					}
 				}
-			}, encmpi.WithWireBatching(batched), encmpi.WithMetrics(reg))
-			if err != nil {
-				t.Fatal(err)
+			case 1:
+				for i := 0; i < rounds; i++ {
+					buf, _ := c.Recv(0, i)
+					if string(buf.Data) != "batch probe" {
+						t.Errorf("round %d: %q", i, buf.Data)
+					}
+					buf.Release()
+				}
 			}
-			wire := reg.Snapshot().Wire
-			if batched && wire.Flushes == 0 {
-				t.Fatal("batching enabled but no wire flushes recorded")
-			}
-			if !batched && wire.Flushes != 0 {
-				t.Fatalf("batching disabled but %d wire flushes recorded", wire.Flushes)
-			}
-		})
-	}
+		}, encmpi.WithMetrics(reg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wire := reg.Snapshot().Wire; wire.Flushes == 0 || wire.Frames < 16 {
+			t.Fatalf("wire engine recorded %d flushes / %d frames, want > 0 / ≥ 16", wire.Flushes, wire.Frames)
+		}
+	})
 }
